@@ -40,7 +40,7 @@ SeedScores run_consensus_seed(std::int64_t delta_ms, std::uint64_t seed) {
   sys.sim.seed = seed;
   sys.sim.horizon = SimTime::zero() + Duration::seconds(60);
   sys.delta = Duration::millis(delta_ms);
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system({sys});
   core::enable_all_observers(system);
 
   world::ExhibitionHallConfig hall_cfg;
@@ -62,8 +62,8 @@ SeedScores run_consensus_seed(std::int64_t delta_ms, std::uint64_t seed) {
   const auto phi =
       core::parse_predicate("overcrowded", "sum(entered) - sum(exited) > 50");
   const core::GroundTruthOracle oracle(phi, system.sensing());
-  const auto truth =
-      oracle.evaluate(system.timeline(), SimTime::zero() + Duration::seconds(60));
+  const auto truth = oracle.evaluate(system.world().timeline(),
+                                     SimTime::zero() + Duration::seconds(60));
   analysis::ScoreConfig score_cfg;
   score_cfg.tolerance = Duration::millis(2 * delta_ms + 1);
 

@@ -17,7 +17,7 @@
 #include "common/table.hpp"
 #include "core/execution_view.hpp"
 #include "core/lattice.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 #include "world/generators.hpp"
 
 int main() {
@@ -57,7 +57,7 @@ int main() {
         sys.delay_kind = core::DelayKind::kFixed;
         sys.delta = Duration::seconds(100);
       }
-      core::PervasiveSystem system(sys);
+      core::ShardedPervasiveSystem system({sys});
 
       std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
       for (ProcessId pid = 1; pid <= kSensors; ++pid) {

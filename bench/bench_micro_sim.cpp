@@ -8,7 +8,7 @@
 #include "core/execution_view.hpp"
 #include "core/lattice.hpp"
 #include "core/predicate_parser.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 #include "world/generators.hpp"
 
 namespace {
@@ -65,7 +65,7 @@ void BM_FullOccupancySecond(benchmark::State& state) {
     sys.sim.seed = 1;
     sys.sim.horizon = SimTime::zero() + Duration::seconds(1);
     sys.delta = Duration::millis(50);
-    core::PervasiveSystem system(sys);
+    core::ShardedPervasiveSystem system({sys});
     std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
     for (ProcessId pid = 1; pid <= doors; ++pid) {
       const auto obj = system.world().create_object("o" + std::to_string(pid));
@@ -90,7 +90,7 @@ void BM_DetectorThroughput(benchmark::State& state) {
   sys.sim.seed = 3;
   sys.sim.horizon = SimTime::zero() + Duration::seconds(30);
   sys.delta = Duration::millis(50);
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system({sys});
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   for (ProcessId pid = 1; pid <= 4; ++pid) {
     const auto obj = system.world().create_object("o" + std::to_string(pid));
@@ -125,7 +125,7 @@ void BM_LatticeCount(benchmark::State& state) {
   sys.sim.seed = 9;
   sys.sim.horizon = SimTime::zero() + Duration::seconds(4);
   sys.delta = Duration::millis(100);
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system({sys});
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   for (ProcessId pid = 1; pid <= 4; ++pid) {
     const auto obj = system.world().create_object("o" + std::to_string(pid));

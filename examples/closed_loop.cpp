@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   sys.sim.horizon = SimTime::zero() + Duration::seconds(seconds);
   sys.delay_kind = core::DelayKind::kUniformBounded;
   sys.delta = Duration::millis(60);
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system({sys});
 
   const auto room = system.world().create_object("server_room");
   system.world().object(room).set_attribute("temp", 26.0);
@@ -100,7 +100,8 @@ int main(int argc, char** argv) {
   const core::GroundTruthOracle oracle(
       core::parse_predicate("hot", "temp[1] > 30 && occupied[2]"),
       system.sensing());
-  const auto truth = oracle.evaluate(system.timeline(), sys.sim.horizon);
+  const auto truth =
+      oracle.evaluate(system.world().timeline(), sys.sim.horizon);
   SampleSet episode_ms;
   for (const auto& occ : truth.occurrences) {
     episode_ms.add(occ.duration().to_seconds() * 1e3);

@@ -10,7 +10,7 @@
 //
 // Shared scenario options (run / check):
 //     --scenario hall|office|hospital|city   (default hall)
-//     --doors N          door/sensor count for hall        (default 4)
+//     --doors N          door/sensor count       (default 4; city 100000)
 //     --capacity N       hall capacity threshold           (default 200)
 //     --rate R           world events per second           (default 20)
 //     --delta MS         delay bound Delta in ms           (default 100)
@@ -62,15 +62,13 @@
 //   psn_cli check --mode scalar              # clock-contract replay, CI-style
 //   psn_cli run --trace /dev/stdout --trace-cap 200000 | psn_cli serve
 //   psn_cli serve --listen 7070 --max-streams 16   # socket soak server
-//
-// The pre-subcommand flat-flag form (psn_cli --check ...) still works as a
-// deprecated alias and prints a migration hint on stderr.
 
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,11 +84,11 @@ namespace {
 
 using namespace psn;
 
-enum class Command { kRun, kCheck, kLegacy };
+enum class Command { kRun, kCheck };
 
 struct CliOptions {
   std::string scenario = "hall";
-  std::size_t doors = 4;
+  std::optional<std::size_t> doors;  // unset = the scenario's default
   int capacity = 200;
   double rate = 20.0;
   std::int64_t delta_ms = 100;
@@ -115,7 +113,6 @@ struct CliOptions {
   bool fifo = false;
   std::string faults;  // fault-plan spec (sim::parse_fault_plan grammar)
   std::string ge;      // Gilbert–Elliott params "g2b,b2g,loss_good,loss_bad"
-  bool check = false;  // legacy flat-flag form only
 };
 
 [[noreturn]] void usage_error(const std::string& why) {
@@ -174,8 +171,8 @@ CliOptions parse_cli(const std::vector<std::string>& args, Command cmd) {
       if (i + 1 >= args.size()) usage_error("missing value for " + flag);
       return args[++i];
     };
-    // Flags restricted to `run` (and the legacy flat form).
-    const bool run_like = cmd != Command::kCheck;
+    // Flags restricted to `run`.
+    const bool run_like = cmd == Command::kRun;
     if (flag == "--scenario") {
       opt.scenario = value();
     } else if (flag == "--doors") {
@@ -237,15 +234,13 @@ CliOptions parse_cli(const std::vector<std::string>& args, Command cmd) {
       opt.metrics = true;
     } else if (run_like && flag == "--trace") {
       opt.trace = value();
-    } else if (cmd == Command::kLegacy && flag == "--check") {
-      opt.check = true;
-    } else if (cmd == Command::kRun && flag == "--check") {
+    } else if (run_like && flag == "--check") {
       usage_error("--check moved to the `check` subcommand: psn_cli check");
     } else {
       usage_error("unknown flag " + flag);
     }
   }
-  if (opt.doors == 0 || opt.reps == 0 || opt.seconds <= 0) {
+  if (opt.doors == 0u || opt.reps == 0 || opt.seconds <= 0) {
     usage_error("doors, reps, and seconds must be positive");
   }
   return opt;
@@ -278,7 +273,7 @@ net::ClockMode clock_mode_of(const std::string& name) {
 /// office/hospital presets adjust rate/capacity flavor.
 analysis::OccupancyConfig occupancy_config_of(const CliOptions& opt) {
   analysis::OccupancyConfig cfg;
-  cfg.doors = opt.doors;
+  cfg.doors = opt.doors.value_or(4);
   cfg.capacity = opt.capacity;
   cfg.movement_rate = opt.rate;
   cfg.delay_kind = delay_kind_of(opt.delay);
@@ -297,7 +292,7 @@ analysis::OccupancyConfig occupancy_config_of(const CliOptions& opt) {
   cfg.unicast_reports = opt.unicast;
   cfg.fifo_channels = opt.fifo;
   if (opt.scenario == "office") {
-    cfg.doors = std::max<std::size_t>(2, opt.doors);
+    cfg.doors = std::max<std::size_t>(2, cfg.doors);
     cfg.capacity = 5;  // small-room occupancy
     cfg.movement_rate = std::min(opt.rate, 2.0);
   } else if (opt.scenario == "hospital") {
@@ -308,7 +303,7 @@ analysis::OccupancyConfig occupancy_config_of(const CliOptions& opt) {
     // each reporting up to the mains-powered root as one unicast, lean
     // clocks (O(n)-wide vectors are intractable at this n), physical wire
     // mode. Sized for the `--shards` scaling bench; pass --doors to shrink.
-    if (opt.doors == 4) cfg.doors = 100000;  // 4 = the flag's default
+    cfg.doors = opt.doors.value_or(100000);
     cfg.capacity = static_cast<int>(cfg.doors / 2);
     cfg.movement_rate = std::max(opt.rate, 2000.0);
     cfg.topology = core::TopologyKind::kStar;
@@ -376,8 +371,7 @@ void print_header(std::FILE* out, const CliOptions& opt,
   }
 }
 
-/// The checker half of the legacy flat-flag form and the whole `check`
-/// subcommand. Returns the process exit code.
+/// The body of the `check` subcommand. Returns the process exit code.
 int run_check(const analysis::OccupancyConfig& base, const CliOptions& opt) {
   analysis::OccupancyConfig checked = base;
   checked.check = true;
@@ -406,7 +400,7 @@ int run_check(const analysis::OccupancyConfig& base, const CliOptions& opt) {
   return 0;
 }
 
-/// The trace-writing half of `run` (and the legacy form): the sweep merges
+/// The trace-writing half of `run`: the sweep merges
 /// snapshots but keeps no raw per-run trace, so re-run the base point
 /// (first seed) once with the trace ring enabled.
 int write_trace(const analysis::OccupancyConfig& base, const CliOptions& opt) {
@@ -443,7 +437,7 @@ int write_trace(const analysis::OccupancyConfig& base, const CliOptions& opt) {
   return 0;
 }
 
-int cmd_run(const CliOptions& opt, bool legacy) {
+int cmd_run(const CliOptions& opt) {
   const analysis::OccupancyConfig cfg = occupancy_config_of(opt);
   std::FILE* human = trace_is_stdout(opt) ? stderr : stdout;
   print_header(human, opt, cfg);
@@ -487,14 +481,7 @@ int cmd_run(const CliOptions& opt, bool legacy) {
                  result.points.front().metrics.table().ascii().c_str());
   }
 
-  if (legacy && opt.check) {
-    const int code = run_check(cfg, opt);
-    if (code != 0) return code;
-  }
-  if (!opt.trace.empty()) {
-    const int code = write_trace(cfg, opt);
-    if (code != 0) return code;
-  }
+  if (!opt.trace.empty()) return write_trace(cfg, opt);
   return 0;
 }
 
@@ -595,7 +582,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   if (!args.empty() && args[0] == "run") {
     args.erase(args.begin());
-    return cmd_run(parse_cli(args, Command::kRun), /*legacy=*/false);
+    return cmd_run(parse_cli(args, Command::kRun));
   }
   if (!args.empty() && args[0] == "check") {
     args.erase(args.begin());
@@ -608,11 +595,7 @@ int main(int argc, char** argv) {
   if (!args.empty() && (args[0] == "--help" || args[0] == "-h")) {
     print_usage_and_exit();
   }
-  if (!args.empty()) {
-    std::fprintf(stderr,
-                 "psn_cli: flat-flag invocation is deprecated; use "
-                 "`psn_cli run ...`, `psn_cli check ...`, or "
-                 "`psn_cli serve ...` (this alias keeps working for now)\n");
-  }
-  return cmd_run(parse_cli(args, Command::kLegacy), /*legacy=*/true);
+  usage_error("flat-flag invocation is no longer supported; use "
+              "`psn_cli run ...`, `psn_cli check ...`, or "
+              "`psn_cli serve ...`");
 }

@@ -17,7 +17,7 @@
 
 #include "common/table.hpp"
 #include "core/interval_algebra.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 
 int main(int argc, char** argv) {
   using namespace psn;
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   sys.sim.seed = seed;
   sys.sim.horizon = SimTime::zero() + Duration::seconds(10 * (sessions + 1));
   sys.delta = Duration::millis(120);
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system({sys});
 
   const auto pwd_terminal = system.world().create_object("password_terminal");
   const auto bio_terminal = system.world().create_object("biometric_reader");

@@ -26,7 +26,7 @@
 #include "core/lattice.hpp"
 #include "core/oracle.hpp"
 #include "core/predicate_parser.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 #include "world/scenarios.hpp"
 
 int main(int argc, char** argv) {
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   sys.sim.horizon = SimTime::zero() + Duration::seconds(seconds);
   sys.delay_kind = core::DelayKind::kUniformBounded;
   sys.delta = Duration::millis(100);
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system({sys});
 
   world::SmartOfficeConfig office_cfg;
   office_cfg.rooms = 1;
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
 
   const core::GroundTruthOracle oracle(phi, system.sensing());
   const core::OracleResult truth =
-      oracle.evaluate(system.timeline(), sys.sim.horizon);
+      oracle.evaluate(system.world().timeline(), sys.sim.horizon);
   std::printf("ground truth: %zu occurrences, %.1f%% of the time\n\n",
               truth.occurrences.size(), 100.0 * truth.fraction_true);
 

@@ -22,7 +22,7 @@
 #include "core/oracle.hpp"
 #include "core/predicate_parser.hpp"
 #include "core/proximity.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 #include "world/mobility.hpp"
 
 int main(int argc, char** argv) {
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   sys.sim.horizon = SimTime::zero() + Duration::seconds(seconds);
   sys.delay_kind = core::DelayKind::kUniformBounded;
   sys.delta = Duration::millis(400);  // wilderness radios: slow, duty-cycled
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system({sys});
 
   core::ProximityField field(
       system, {{1, {20.0, 30.0}, 18.0},
@@ -70,7 +70,8 @@ int main(int argc, char** argv) {
        {"sum(near_zebra) >= 1", "near_zebra[1] && near_zebra[2]"}) {
     const auto phi = core::parse_predicate(text, text);
     const core::GroundTruthOracle oracle(phi, system.sensing());
-    const auto truth = oracle.evaluate(system.timeline(), sys.sim.horizon);
+    const auto truth =
+        oracle.evaluate(system.world().timeline(), sys.sim.horizon);
     std::printf("predicate %-32s: %zu true episodes (%.1f%% of time)\n", text,
                 truth.occurrences.size(), 100.0 * truth.fraction_true);
 

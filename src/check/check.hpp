@@ -15,7 +15,7 @@
 #include "sim/trace.hpp"
 
 namespace psn::core {
-class PervasiveSystem;
+class ShardedPervasiveSystem;
 }  // namespace psn::core
 
 /// psn::check — the causality & clock-contract checker (DESIGN.md §10).
@@ -102,7 +102,7 @@ struct CheckReport {
   /// Appends another contract result (used by the race-audit layer) and
   /// downgrades the verdict if it carries violations.
   void add_contract(ContractResult result);
-  /// Multi-line human-readable report (psn_cli --check prints this).
+  /// Multi-line human-readable report (psn_cli check prints this).
   std::string summary() const;
 };
 
@@ -141,7 +141,7 @@ class TraceWindowError : public ConfigError {
 
 /// Everything the checker needs from one finished run. Synthesize (and
 /// corrupt) these directly in mutation tests; `inputs_from` extracts them
-/// from a PervasiveSystem.
+/// from a finished ShardedPervasiveSystem run.
 struct RunInputs {
   std::size_t num_processes = 0;  ///< including the root P_0
   Duration sync_epsilon = Duration::zero();
@@ -157,12 +157,15 @@ struct RunInputs {
 /// an evicted trace without allow_partial_window).
 CheckReport check_run(const RunInputs& inputs, const CheckOptions& options = {});
 
-/// Extracts RunInputs from a finished system run. Requires tracing to have
-/// been enabled (SimConfig::trace_capacity > 0).
-RunInputs inputs_from(const core::PervasiveSystem& system);
+/// Extracts RunInputs from a finished system run, given its merged trace
+/// (`system.trace_records()` — passed in because callers that keep the
+/// trace already hold it, and merging it is not free). Requires tracing to
+/// have been enabled (SimConfig::trace_capacity > 0).
+RunInputs inputs_from(const core::ShardedPervasiveSystem& system,
+                      std::vector<sim::TraceRecord> trace);
 
 /// inputs_from + check_run.
-CheckReport check_system(const core::PervasiveSystem& system,
+CheckReport check_system(const core::ShardedPervasiveSystem& system,
                          const CheckOptions& options = {});
 
 }  // namespace psn::check

@@ -22,6 +22,9 @@ struct ShardedPervasiveSystem::Shard {
   ProcessId sensor_base = 1;                         ///< pid of sensors[0]
 
   SensorNode& sensor(ProcessId pid) { return *sensors[pid - sensor_base]; }
+  const SensorNode& sensor(ProcessId pid) const {
+    return *sensors[pid - sensor_base];
+  }
 };
 
 /// Replays one sensor's subsequence of the pre-rolled world timeline as a
@@ -188,6 +191,8 @@ void ShardedPervasiveSystem::assign(world::ObjectId object,
 void ShardedPervasiveSystem::set_world_events(
     std::vector<world::WorldEvent> events) {
   PSN_CHECK(!ran_, "world events must be installed before run()");
+  PSN_CHECK(world_ == nullptr,
+            "set_world_events() cannot be mixed with a live world()");
   for (std::size_t i = 1; i < events.size(); ++i) {
     PSN_CHECK(events[i - 1].when <= events[i].when,
               "world timeline must be in true-time order");
@@ -203,9 +208,54 @@ void ShardedPervasiveSystem::reserve_root_logs(std::size_t expected_updates) {
   for (const auto& sh : shards_) sh->root->log().updates.reserve(per_shard);
 }
 
+void ShardedPervasiveSystem::require_one_shard() const {
+  PSN_CHECK(shards_.size() == 1,
+            "the live stack (world, sim, transport, root, sensors) is only "
+            "reachable with shards == 1");
+}
+
+ShardedPervasiveSystem::Shard& ShardedPervasiveSystem::only_shard() {
+  require_one_shard();
+  return *shards_[0];
+}
+
+const ShardedPervasiveSystem::Shard& ShardedPervasiveSystem::only_shard() const {
+  require_one_shard();
+  return *shards_[0];
+}
+
+world::WorldModel& ShardedPervasiveSystem::world() {
+  Shard& sh = only_shard();
+  if (world_ == nullptr) {
+    PSN_CHECK(timeline_.empty(),
+              "a live world cannot be mixed with set_world_events()");
+    world_ = std::make_unique<world::WorldModel>(*sh.sim);
+    for (const auto& node : sh.sensors) node->bind_world(world_.get());
+    // Route assigned world events to their sensors.
+    world_->add_sink([this, &sh](const world::WorldEvent& ev) {
+      const ProcessId pid = sensing_.sensor_of(ev.object, ev.attribute);
+      if (pid != kNoProcess) sh.sensor(pid).sense(ev);
+    });
+  }
+  return *world_;
+}
+
+sim::Simulation& ShardedPervasiveSystem::sim() { return *only_shard().sim; }
+
+net::Transport& ShardedPervasiveSystem::transport() {
+  return *only_shard().transport;
+}
+
+RootMonitor& ShardedPervasiveSystem::root() { return *only_shard().root; }
+
 SensorNode& ShardedPervasiveSystem::sensor(ProcessId pid) {
   PSN_CHECK(pid >= 1 && pid < n_, "not a sensor pid");
-  return shards_[shard_map_.shard_of(pid)]->sensor(pid);
+  return only_shard().sensor(pid);
+}
+
+const SensorNode& ShardedPervasiveSystem::sensor(ProcessId pid) const {
+  PSN_CHECK(pid >= 1 && pid < n_, "not a sensor pid");
+  return only_shard().sensor(pid);
 }
 
 Duration ShardedPervasiveSystem::delta_bound() const {
@@ -280,23 +330,15 @@ std::size_t ShardedPervasiveSystem::run() {
   ran_ = true;
   install_cursors();
 
-  const SimTime horizon = config_.base.sim.horizon;
   std::size_t total = 0;
   if (shards_.size() == 1) {
-    // One shard: the plain serial loop (Simulation::run()'s semantics,
-    // inlined so the post-run bookkeeping below is shared across K). No
-    // window machinery, so every delay kind works at K = 1.
-    sim::Scheduler& sch = shards_[0]->sim->scheduler();
-    const std::size_t max_events = config_.base.sim.max_events;
-    while (sch.next_time() <= horizon) {
-      if (total >= max_events) {
-        truncated_ = true;
-        break;
-      }
-      sch.step();
-      ++total;
-    }
+    // One shard: the plain serial loop, no window machinery, so every delay
+    // kind works at K = 1. Simulation::run() writes the sim.* gauges.
+    sim::Simulation& sim = *shards_[0]->sim;
+    total = sim.run();
+    truncated_ = sim.truncated();
   } else {
+    const SimTime horizon = config_.base.sim.horizon;
     sim::ShardedSimulation::Config dcfg;
     dcfg.window = window_;
     dcfg.horizon = horizon;
@@ -308,21 +350,20 @@ std::size_t ShardedPervasiveSystem::run() {
     total = driver.run([this] { return exchange_outboxes(); });
     truncated_ = driver.truncated();
     windows_ = driver.windows();
-  }
 
-  // Post-run bookkeeping written once, into shard 0's registry only, the
-  // same way at every K (Simulation::run() is never used here — its gauges
-  // would be written per shard and merge additively into K-dependent
-  // values).
-  std::size_t pending = 0;
-  for (const auto& sh : shards_) pending += sh->sim->scheduler().pending();
-  MetricsRegistry& metrics = shards_[0]->sim->metrics();
-  metrics.gauge("sim.simulated_s").set(horizon.to_seconds());
-  metrics.gauge("sim.pending_at_end").set(static_cast<double>(pending));
-  if (truncated_) {
-    metrics.counter("sim.truncated_runs").inc();
-    PSN_WARN << "sharded run hit max_events before horizon; results are "
-                "truncated";
+    // The same gauges Simulation::run() writes at K = 1, written once into
+    // shard 0's registry only (per-shard gauges would merge additively into
+    // K-dependent values).
+    std::size_t pending = 0;
+    for (const auto& sh : shards_) pending += sh->sim->scheduler().pending();
+    MetricsRegistry& metrics = shards_[0]->sim->metrics();
+    metrics.gauge("sim.simulated_s").set(horizon.to_seconds());
+    metrics.gauge("sim.pending_at_end").set(static_cast<double>(pending));
+    if (truncated_) {
+      metrics.counter("sim.truncated_runs").inc();
+      PSN_WARN << "sharded run hit max_events before horizon; results are "
+                  "truncated";
+    }
   }
   merge_root_logs();
   return total;

@@ -12,6 +12,7 @@
 #include "net/shard_map.hpp"
 #include "sim/trace.hpp"
 #include "world/event.hpp"
+#include "world/world_model.hpp"
 
 namespace psn::core {
 
@@ -60,11 +61,17 @@ struct ShardedSystemConfig {
 /// RNG substream) and hands it to set_world_events(); each sensor's event
 /// subsequence is replayed by a per-pid timer chain inside its owner shard.
 /// The K = 1 path uses the same replay machinery, so a 1-shard run is the
-/// golden reference for every K — and for the pre-sharding serial runner.
+/// golden reference for every K.
 ///
-/// Not supported (callers reject these before construction): transports'
-/// causal-delivery mode, actuation messages (no world plane is bound), and
-/// K > 1 under delay models with a zero minimum one-hop delay.
+/// At K = 1 the live stack is also reachable, for closed-loop callers
+/// (online monitors, actuation, hand-scripted worlds): world() builds a live
+/// world plane on the one shard's Simulation instead of a replayed timeline,
+/// and sim(), transport(), root() and sensor() expose the rest. Each is a
+/// PSN_CHECK backstop at K > 1.
+///
+/// Not supported at K > 1 (callers reject these before construction): FIFO
+/// channels, Gilbert–Elliott loss, and delay models with a zero minimum
+/// one-hop delay.
 class ShardedPervasiveSystem {
  public:
   explicit ShardedPervasiveSystem(ShardedSystemConfig config);
@@ -76,8 +83,21 @@ class ShardedPervasiveSystem {
   const SensingMap& sensing() const { return sensing_; }
 
   /// Installs the pre-rolled ground-truth timeline to replay (`when`
-  /// non-decreasing, indices assigned). Call once, before run().
+  /// non-decreasing, indices assigned). Call once, before run(). Excludes
+  /// world().
   void set_world_events(std::vector<world::WorldEvent> events);
+
+  // --- The live stack, K = 1 only.
+  /// The live world plane, built on the first call: its events route
+  /// through the sensing map to sensor(pid).sense(), and every sensor is
+  /// bound to it so actuation commands apply as a-events. Excludes
+  /// set_world_events().
+  world::WorldModel& world();
+  sim::Simulation& sim();
+  net::Transport& transport();
+  RootMonitor& root();
+  SensorNode& sensor(ProcessId pid);
+  const SensorNode& sensor(ProcessId pid) const;
 
   /// Pre-sizes every per-shard root log (city-scale runs append millions of
   /// updates; growing the logs inside the window loop would allocate).
@@ -129,7 +149,9 @@ class ShardedPervasiveSystem {
   struct ReplayCursor;
 
   std::unique_ptr<Shard> build_shard(std::size_t s);
-  SensorNode& sensor(ProcessId pid);
+  void require_one_shard() const;
+  Shard& only_shard();
+  const Shard& only_shard() const;
   void install_cursors();
   std::size_t exchange_outboxes();
   void merge_root_logs();
@@ -145,6 +167,7 @@ class ShardedPervasiveSystem {
   std::vector<net::PendingDelivery> exchange_scratch_;
   std::vector<world::WorldEvent> timeline_;
   std::vector<std::unique_ptr<ReplayCursor>> cursors_;
+  std::unique_ptr<world::WorldModel> world_;  ///< live world (K = 1 only)
   SensingMap sensing_;
   ObservationLog merged_log_;
   bool truncated_ = false;

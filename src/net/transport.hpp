@@ -163,7 +163,6 @@ class Transport {
 
   Overlay& overlay() { return overlay_; }
   const Overlay& overlay() const { return overlay_; }
-  DelayModel& delay_model() { return *delay_; }
   const MessageStats& stats() const { return stats_; }
 
  private:

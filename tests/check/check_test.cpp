@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 #include "world/generators.hpp"
 
 namespace psn::check {
@@ -31,7 +31,7 @@ RunInputs clean_inputs(std::uint64_t seed = 7) {
   cfg.sim.horizon = SimTime::zero() + 10_s;
   cfg.sim.trace_capacity = std::size_t{1} << 14;
   cfg.delta = 20_ms;
-  core::PervasiveSystem system(cfg);
+  core::ShardedPervasiveSystem system({cfg});
 
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   for (ProcessId pid = 1; pid < system.num_processes(); ++pid) {
@@ -56,7 +56,7 @@ RunInputs clean_inputs(std::uint64_t seed = 7) {
         [&system, src] { system.sensor(src).compute(); });
   }
   system.run();
-  return inputs_from(system);
+  return inputs_from(system, system.trace_records());
 }
 
 /// True iff any contract recorded a violation of `kind`.

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "check/check.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 #include "net/message.hpp"
 #include "world/generators.hpp"
 
@@ -31,7 +31,7 @@ RunInputs traced_run(net::ClockMode mode, std::uint64_t seed = 7) {
   cfg.sim.trace_capacity = std::size_t{1} << 14;
   cfg.delta = 20_ms;
   cfg.clock_mode = mode;
-  core::PervasiveSystem system(cfg);
+  core::ShardedPervasiveSystem system({cfg});
 
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   for (ProcessId pid = 1; pid < system.num_processes(); ++pid) {
@@ -57,7 +57,7 @@ RunInputs traced_run(net::ClockMode mode, std::uint64_t seed = 7) {
         [&system, src] { system.sensor(src).compute(); });
   }
   system.run();
-  return inputs_from(system);
+  return inputs_from(system, system.trace_records());
 }
 
 /// Record-by-record streaming replay with the exact configuration check_run

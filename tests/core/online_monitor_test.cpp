@@ -21,7 +21,8 @@ struct LoopFixture {
     sys.sim.horizon = SimTime::zero() + 60_s;
     sys.delay_kind = DelayKind::kFixed;
     sys.delta = delta;
-    system = std::make_unique<PervasiveSystem>(sys);
+    system =
+        std::make_unique<ShardedPervasiveSystem>(ShardedSystemConfig{sys});
 
     room = system->world().create_object("room");
     system->world().object(room).set_attribute("temp", 22.0);
@@ -31,7 +32,7 @@ struct LoopFixture {
     system->assign(hall, "motion", 2);
   }
 
-  std::unique_ptr<PervasiveSystem> system;
+  std::unique_ptr<ShardedPervasiveSystem> system;
   world::ObjectId room = world::kNoObject;
   world::ObjectId hall = world::kNoObject;
 };

@@ -2,9 +2,12 @@
 // to assigned sensors, strobes reach the root, clock invariants hold across
 // a full simulated run.
 
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
 
 #include "core/execution_view.hpp"
 #include "core/predicate_parser.hpp"
@@ -26,7 +29,7 @@ SystemConfig base_config(std::size_t sensors, Duration delta,
 }
 
 /// Attaches periodic counter drivers, one world object per sensor.
-void attach_counters(PervasiveSystem& system, Duration period,
+void attach_counters(ShardedPervasiveSystem& system, Duration period,
                      std::vector<std::unique_ptr<world::AttributeDriver>>& keep) {
   for (ProcessId pid = 1; pid < system.num_processes(); ++pid) {
     const auto obj =
@@ -44,12 +47,12 @@ void attach_counters(PervasiveSystem& system, Duration period,
 }
 
 TEST(SystemIntegrationTest, EveryAssignedWorldEventIsSensedAndReported) {
-  PervasiveSystem system(base_config(3, 50_ms));
+  ShardedPervasiveSystem system({base_config(3, 50_ms)});
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   attach_counters(system, 1_s, drivers);
   system.run();
 
-  const std::size_t world_events = system.timeline().size();
+  const std::size_t world_events = system.world().timeline().size();
   EXPECT_GT(world_events, 30u);
 
   // Each sensor recorded one sense event per its world events.
@@ -68,11 +71,11 @@ TEST(SystemIntegrationTest, EveryAssignedWorldEventIsSensedAndReported) {
 }
 
 TEST(SystemIntegrationTest, RootLogIsInDeliveryOrder) {
-  PervasiveSystem system(base_config(4, 200_ms));
+  ShardedPervasiveSystem system({base_config(4, 200_ms)});
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   attach_counters(system, 500_ms, drivers);
   system.run();
-  const auto& updates = system.log().updates;
+  const auto& updates = system.root().log().updates;
   ASSERT_GT(updates.size(), 10u);
   for (std::size_t i = 1; i < updates.size(); ++i) {
     EXPECT_GE(updates[i].delivered_at, updates[i - 1].delivered_at);
@@ -84,7 +87,7 @@ TEST(SystemIntegrationTest, StrobeTrafficNeverTicksCausalClocks) {
   // messages, each sensor's causal vector clock must count ONLY its own
   // events — all components for other processes stay 0 even though strobes
   // flew everywhere.
-  PervasiveSystem system(base_config(3, 50_ms));
+  ShardedPervasiveSystem system({base_config(3, 50_ms)});
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   attach_counters(system, 1_s, drivers);
   system.run();
@@ -110,7 +113,7 @@ TEST(SystemIntegrationTest, StrobeTrafficNeverTicksCausalClocks) {
 }
 
 TEST(SystemIntegrationTest, ComputationMessagesDriveCausalClocks) {
-  PervasiveSystem system(base_config(2, 10_ms));
+  ShardedPervasiveSystem system({base_config(2, 10_ms)});
   // P1 sends a computation message to P2 at t=1s.
   system.sim().scheduler().schedule_at(SimTime::zero() + 1_s, [&] {
     system.sensor(1).send_computation(2, "hello");
@@ -128,7 +131,7 @@ TEST(SystemIntegrationTest, ComputationMessagesDriveCausalClocks) {
 
 TEST(SystemIntegrationTest, SameSeedIsBitIdentical) {
   auto run_once = [](std::uint64_t seed) {
-    PervasiveSystem system(base_config(3, 100_ms, seed));
+    ShardedPervasiveSystem system({base_config(3, 100_ms, seed)});
     std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
     attach_counters(system, 700_ms, drivers);
     system.run();
@@ -143,19 +146,37 @@ TEST(SystemIntegrationTest, SameSeedIsBitIdentical) {
 }
 
 TEST(SystemIntegrationTest, DeltaBoundScalesWithTopologyDiameter) {
-  SystemConfig cfg = base_config(4, 100_ms);
-  cfg.topology = TopologyKind::kComplete;
-  EXPECT_EQ(PervasiveSystem(cfg).delta_bound(), 100_ms);
-  cfg.topology = TopologyKind::kLine;  // 5 processes in a line: diameter 4
-  EXPECT_EQ(PervasiveSystem(cfg).delta_bound(), 400_ms);
-  cfg.delay_kind = DelayKind::kExponential;
-  EXPECT_EQ(PervasiveSystem(cfg).delta_bound(), Duration::max());
+  // delta_bound() computes the diameter in closed form (an all-pairs BFS is
+  // intractable at city scale); it must equal hop bound x the overlay's
+  // true hop diameter for every topology, and be unbounded under
+  // exponential delay.
+  for (const TopologyKind kind : {TopologyKind::kComplete, TopologyKind::kStar,
+                                  TopologyKind::kRing, TopologyKind::kLine}) {
+    for (const std::size_t n : {2u, 3u, 4u, 7u, 16u}) {
+      SystemConfig cfg = base_config(n - 1, 100_ms);
+      cfg.topology = kind;
+      const net::Overlay overlay = make_system_overlay(kind, n);
+      std::size_t diameter = 1;
+      for (ProcessId a = 0; a < n; ++a) {
+        for (ProcessId b = a + 1; b < n; ++b) {
+          ASSERT_NE(overlay.hop_distance(a, b), SIZE_MAX);
+          diameter = std::max(diameter, overlay.hop_distance(a, b));
+        }
+      }
+      const Duration hop = make_delay_model(cfg)->bound();
+      EXPECT_EQ(ShardedPervasiveSystem({cfg}).delta_bound(),
+                hop * static_cast<std::int64_t>(diameter))
+          << "topology " << static_cast<int>(kind) << ", n = " << n;
+      cfg.delay_kind = DelayKind::kExponential;
+      EXPECT_EQ(ShardedPervasiveSystem({cfg}).delta_bound(), Duration::max());
+    }
+  }
 }
 
 TEST(SystemIntegrationTest, SynchronousDeltaZeroDelivery) {
   SystemConfig cfg = base_config(2, Duration::zero());
   cfg.delay_kind = DelayKind::kSynchronous;
-  PervasiveSystem system(cfg);
+  ShardedPervasiveSystem system({cfg});
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   attach_counters(system, 1_s, drivers);
   system.run();
@@ -167,13 +188,13 @@ TEST(SystemIntegrationTest, SynchronousDeltaZeroDelivery) {
 TEST(SystemIntegrationTest, LossReducesDeliveredReports) {
   SystemConfig cfg = base_config(2, 50_ms, 5);
   cfg.loss_probability = 0.5;
-  PervasiveSystem lossy(cfg);
+  ShardedPervasiveSystem lossy({cfg});
   std::vector<std::unique_ptr<world::AttributeDriver>> d1;
   attach_counters(lossy, 200_ms, d1);
   lossy.run();
 
   SystemConfig clean_cfg = base_config(2, 50_ms, 5);
-  PervasiveSystem clean(clean_cfg);
+  ShardedPervasiveSystem clean({clean_cfg});
   std::vector<std::unique_ptr<world::AttributeDriver>> d2;
   attach_counters(clean, 200_ms, d2);
   clean.run();
@@ -183,7 +204,7 @@ TEST(SystemIntegrationTest, LossReducesDeliveredReports) {
 }
 
 TEST(SystemIntegrationTest, ExecutionViewsAlignWithClockComponents) {
-  PervasiveSystem system(base_config(2, 50_ms));
+  ShardedPervasiveSystem system({base_config(2, 50_ms)});
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   attach_counters(system, 1_s, drivers);
   system.run();
@@ -204,15 +225,36 @@ TEST(SystemIntegrationTest, ExecutionViewsAlignWithClockComponents) {
   EXPECT_TRUE(causal_view.consistent(causal_view.final_cut()));
 }
 
+TEST(SystemIntegrationTest, LiveStackIsOneShardOnly) {
+  ShardedSystemConfig cfg{base_config(3, 50_ms)};
+  cfg.shards = 2;
+  ShardedPervasiveSystem sharded(cfg);
+  EXPECT_THROW(sharded.world(), InvariantError);
+  EXPECT_THROW(sharded.sim(), InvariantError);
+  EXPECT_THROW(sharded.transport(), InvariantError);
+  EXPECT_THROW(sharded.root(), InvariantError);
+  EXPECT_THROW(sharded.sensor(1), InvariantError);
+
+  // A live world and a replayed timeline exclude each other.
+  ShardedPervasiveSystem live({base_config(2, 50_ms)});
+  live.world();
+  EXPECT_THROW(live.set_world_events(std::vector<world::WorldEvent>(1)),
+               InvariantError);
+  ShardedPervasiveSystem replay({base_config(2, 50_ms)});
+  replay.set_world_events(std::vector<world::WorldEvent>(1));
+  EXPECT_THROW(replay.world(), InvariantError);
+}
+
 TEST(SystemIntegrationTest, AssignValidation) {
-  PervasiveSystem system(base_config(2, 50_ms));
+  ShardedPervasiveSystem system({base_config(2, 50_ms)});
   const auto obj = system.world().create_object("o");
   EXPECT_THROW(system.assign(obj, "x", 0), InvariantError);   // root senses nothing
   EXPECT_THROW(system.assign(obj, "x", 9), InvariantError);   // no such sensor
   system.assign(obj, "x", 1);
   EXPECT_THROW(system.assign(obj, "x", 2), InvariantError);   // double assign
   EXPECT_THROW(system.sensor(0), InvariantError);
-  EXPECT_THROW(PervasiveSystem(base_config(0, 50_ms)), InvariantError);
+  EXPECT_THROW(ShardedPervasiveSystem({base_config(0, 50_ms)}),
+               InvariantError);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "analysis/experiments.hpp"
 #include "clocks/timestamp.hpp"
+#include "core/sharded_system.hpp"
 
 namespace psn::analysis {
 namespace {
@@ -106,7 +107,7 @@ TEST_P(DetectorPropertyTest, StrobeStampsOrderedWhenEventsFarApart) {
   sys.sim.seed = cfg.seed;
   sys.sim.horizon = SimTime::zero() + cfg.horizon;
   sys.delta = cfg.delta;
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system({sys});
 
   world::ExhibitionHallConfig hall_cfg;
   hall_cfg.doors = static_cast<int>(cfg.doors);
