@@ -83,39 +83,77 @@ void BM_FullOccupancySecond(benchmark::State& state) {
 }
 BENCHMARK(BM_FullOccupancySecond)->RangeMultiplier(2)->Range(2, 16);
 
-void BM_DetectorThroughput(benchmark::State& state) {
-  // Updates/second each online detector can process, on a prebuilt log.
-  core::SystemConfig sys;
-  sys.num_sensors = 4;
-  sys.sim.seed = 3;
-  sys.sim.horizon = SimTime::zero() + Duration::seconds(30);
-  sys.delta = Duration::millis(50);
-  core::ShardedPervasiveSystem system({sys});
-  std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
-  for (ProcessId pid = 1; pid <= 4; ++pid) {
-    const auto obj = system.world().create_object("o" + std::to_string(pid));
-    system.world().object(obj).set_attribute("count", std::int64_t{0});
-    system.assign(obj, "count", pid);
-    drivers.push_back(std::make_unique<world::AttributeDriver>(
-        system.world(), obj, "count",
-        std::make_unique<world::PoissonArrivals>(50.0),
-        std::make_unique<world::CounterValue>(),
-        system.sim().rng_for("d", pid)));
-    drivers.back()->start();
+/// Root log of a hall with `doors` doors, built directly rather than
+/// simulated: update i reports door 1 + (i / 2) % doors's `entered` (even i)
+/// or `exited` (odd i) counter, so occupancy alternates 1, 0 and the
+/// predicate below flips on every update. The update count is fixed, so time
+/// per iteration is the per-update cost at this door count. Each door's
+/// strobe vector ticks only its own entry — doors are mutually concurrent,
+/// as in a star deployment with no door-to-door traffic.
+core::ObservationLog hall_log(std::size_t doors, bool vector_stamps) {
+  constexpr std::size_t kUpdates = std::size_t{1} << 14;
+  core::ObservationLog log;
+  log.num_processes = doors + 1;
+  log.updates.reserve(kUpdates);
+  std::vector<std::uint64_t> ticks(doors + 1, 0);
+  for (std::size_t i = 0; i < kUpdates; ++i) {
+    const std::size_t door = 1 + (i / 2) % doors;
+    core::ReceivedUpdate u;
+    u.delivered_at =
+        SimTime::zero() + Duration::micros(static_cast<std::int64_t>(i));
+    u.reporter = static_cast<ProcessId>(door);
+    u.report.attribute = i % 2 == 0 ? "entered" : "exited";
+    u.report.value = static_cast<std::int64_t>(i / (2 * doors) + 1);
+    u.report.strobe_scalar = {i + 1, u.reporter};
+    if (vector_stamps) {
+      u.report.strobe_vector = clocks::VectorStamp(doors + 1);
+      u.report.strobe_vector[door] = ++ticks[door];
+    }
+    u.report.synced_timestamp = u.delivered_at;
+    log.updates.push_back(std::move(u));
   }
-  system.run();
-  const auto phi = core::parse_predicate("p", "sum(count) > 1000");
+  return log;
+}
+
+void BM_DetectorThroughput(benchmark::State& state,
+                           std::size_t detector_index) {
+  // Updates/second one online detector processes on a prebuilt hall log, by
+  // door count: sum/count aggregates are O(1) per update in doors, so the
+  // scalar-stamped detectors should fit O(1).
+  const auto doors = static_cast<std::size_t>(state.range(0));
   const auto detectors = core::all_online_detectors();
-  const auto& detector = detectors[static_cast<std::size_t>(state.range(0))];
+  const auto& detector = detectors[detector_index];
+  const core::ObservationLog log =
+      hall_log(doors, detector->name() == "strobe-vector");
+  const auto phi =
+      core::parse_predicate("p", "sum(entered) - sum(exited) > 0");
   state.SetLabel(detector->name());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(detector->run(system.log(), phi));
+    benchmark::DoNotOptimize(detector->run(log, phi));
   }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(system.log().updates.size()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(log.updates.size()));
+  state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_DetectorThroughput)->DenseRange(0, 3);
+BENCHMARK_CAPTURE(BM_DetectorThroughput, delivery_order, 0)
+    ->RangeMultiplier(16)
+    ->Range(16, 4096)
+    ->Complexity();
+BENCHMARK_CAPTURE(BM_DetectorThroughput, strobe_scalar, 1)
+    ->RangeMultiplier(16)
+    ->Range(16, 4096)
+    ->Complexity();
+// Each update carries an O(doors) vector stamp that the detector compares,
+// so strobe-vector is O(doors) per update by design; its axis stops at 256
+// doors, where the log's stamps are already 34 MB.
+BENCHMARK_CAPTURE(BM_DetectorThroughput, strobe_vector, 2)
+    ->RangeMultiplier(16)
+    ->Range(16, 256)
+    ->Complexity();
+BENCHMARK_CAPTURE(BM_DetectorThroughput, physical_eps, 3)
+    ->RangeMultiplier(16)
+    ->Range(16, 4096)
+    ->Complexity();
 
 void BM_LatticeCount(benchmark::State& state) {
   // Consistent-cut counting cost on a strobe execution of growing size.

@@ -94,10 +94,16 @@ class AggregateExpr final : public Expr {
       : op_(op), name_(std::move(name)) {}
 
   double evaluate(const GlobalState& state) const override {
-    // for_each_named, not vars_named: this runs once per delivered update
-    // inside the PSN_HOT detector feed, and materializing a vector of
-    // string-copied VarRefs per evaluation was one allocation per event —
-    // exactly what the alloc-guard suite pins at zero.
+    // This runs once per delivered update inside the PSN_HOT detector feed,
+    // so sum and count read GlobalState's per-name summary instead of
+    // visiting every variable. min, max, and a sum the summary cannot
+    // reproduce bit for bit, scan with for_each_named.
+    if (op_ == AggregateOp::kCount) {
+      return static_cast<double>(state.count_named(name_));
+    }
+    if (op_ == AggregateOp::kSum) {
+      if (const auto sum = state.exact_sum_named(name_)) return *sum;
+    }
     std::size_t n = 0;
     double acc = 0.0;
     state.for_each_named(name_, [&](const VarRef&, double v) {
@@ -105,13 +111,11 @@ class AggregateExpr final : public Expr {
         case AggregateOp::kSum: acc += v; break;
         case AggregateOp::kMin: acc = n == 0 ? v : std::min(acc, v); break;
         case AggregateOp::kMax: acc = n == 0 ? v : std::max(acc, v); break;
-        case AggregateOp::kCount: break;  // only n matters
+        case AggregateOp::kCount: break;  // answered above
       }
       n++;
     });
-    if (n == 0) return 0.0;
-    if (op_ == AggregateOp::kCount) return static_cast<double>(n);
-    return acc;
+    return n == 0 ? 0.0 : acc;
   }
   bool is_fully_defined(const GlobalState& state) const override {
     // An aggregate is defined over whatever has been reported; it is "fully

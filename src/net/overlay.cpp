@@ -51,19 +51,32 @@ void Overlay::add_edge(ProcessId a, ProcessId b) {
   if (has_edge(a, b)) return;
   adj_[a].push_back(b);
   adj_[b].push_back(a);
-  std::fill(row_valid_.begin(), row_valid_.end(), 0);
+  invalidate_rows();
 }
 
 void Overlay::remove_edge(ProcessId a, ProcessId b) {
   PSN_CHECK(a < n_ && b < n_, "edge endpoint out of range");
   std::erase(adj_[a], b);
   std::erase(adj_[b], a);
+  invalidate_rows();
+}
+
+void Overlay::invalidate_rows() {
+  // Building a topology adds n edges before any hop query: skipping the
+  // O(n) fill while no row is cached keeps star(n) construction O(n).
+  if (!any_row_valid_) return;
   std::fill(row_valid_.begin(), row_valid_.end(), 0);
+  any_row_valid_ = false;
 }
 
 bool Overlay::has_edge(ProcessId a, ProcessId b) const {
   PSN_CHECK(a < n_ && b < n_, "edge endpoint out of range");
-  return std::find(adj_[a].begin(), adj_[a].end(), b) != adj_[a].end();
+  // Edges are stored in both lists, so scan the shorter: a star's leaf,
+  // never the hub's O(n) list.
+  const bool a_shorter = adj_[a].size() <= adj_[b].size();
+  const std::vector<ProcessId>& list = adj_[a_shorter ? a : b];
+  const ProcessId other = a_shorter ? b : a;
+  return std::find(list.begin(), list.end(), other) != list.end();
 }
 
 const std::vector<ProcessId>& Overlay::neighbors(ProcessId p) const {
@@ -99,6 +112,7 @@ const std::vector<std::size_t>& Overlay::distance_row(ProcessId from) const {
     }
   }
   row_valid_[from] = 1;
+  any_row_valid_ = true;
   return dist;
 }
 

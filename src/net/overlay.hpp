@@ -45,14 +45,18 @@ class Overlay {
   static constexpr std::size_t kDirectScanDegree = 4;
 
   const std::vector<std::size_t>& distance_row(ProcessId from) const;
+  void invalidate_rows();
 
   std::size_t n_;
   std::vector<std::vector<ProcessId>> adj_;
   /// Lazy shortest-path cache: dist_rows_[p] is p's BFS row when
   /// row_valid_[p], recomputed in place (capacity reused) after edge
-  /// mutations. bfs_queue_ is the BFS scratch, likewise recycled.
+  /// mutations. any_row_valid_ is false while no row is cached, so an edge
+  /// mutation then skips the fill. bfs_queue_ is the BFS scratch, likewise
+  /// recycled.
   mutable std::vector<std::vector<std::size_t>> dist_rows_;
   mutable std::vector<char> row_valid_;
+  mutable bool any_row_valid_ = false;
   mutable std::vector<ProcessId> bfs_queue_;
 };
 

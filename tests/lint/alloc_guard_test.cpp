@@ -10,7 +10,7 @@
 // container that stopped recycling, a std::string born in a loop — fails
 // here immediately, on the exact path that regressed.
 //
-// Pinned paths (one test each, plus an 8-thread repeat of all five):
+// Pinned paths (one test each, plus an 8-thread repeat of all of them):
 //   1. Scheduler schedule→pop round trip (slab slots + monotone run reuse).
 //   2. Transport broadcast fan-out: delivery executes allocation-free and
 //      the schedule phase's allocation count is independent of fan-out N
@@ -27,6 +27,9 @@
 //      traffic, and fence exchange recycle everything once warm.
 //   6. The fault layer (DESIGN.md §15): FaultSchedule's per-message queries
 //      and the stream checker's fault-record replay.
+//   7. Incremental aggregates (DESIGN.md §11): GlobalState::set on an
+//      existing variable plus sum/count evaluation, on both the exact
+//      summary path and the full-scan fallback.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -456,6 +459,44 @@ TEST(AllocGuard, StreamCheckerFaultFeedIsAllocationFree) {
   EXPECT_EQ(checker_fault_feed_allocs(2'000), 0u);
 }
 
+// --- 7. incremental aggregates --------------------------------------------
+
+/// Overwrites existing variables of a 10^3-variable state and evaluates
+/// sum(x) and count(x) after each write. With `exact` every value is
+/// integral, so sum answers from GlobalState's summary; otherwise one
+/// fractional value, never overwritten, forces the full-scan fallback.
+std::uint64_t aggregate_update_allocs(std::size_t rounds, bool exact) {
+  constexpr std::size_t kVars = 1000;
+  const core::ExprPtr sum = core::aggregate(core::AggregateOp::kSum, "x");
+  const core::ExprPtr count = core::aggregate(core::AggregateOp::kCount, "x");
+  std::vector<core::VarRef> refs;
+  for (std::size_t p = 0; p < kVars; p++) {
+    refs.push_back({static_cast<ProcessId>(p), "x"});
+  }
+  // Warmup: every variable's node and the name's summary exist.
+  core::GlobalState state;
+  for (const core::VarRef& ref : refs) state.set(ref, 1.0);
+  if (!exact) state.set(refs[0], 0.5);
+  double acc = 0.0;
+  Scope scope;
+  for (std::size_t i = 0; i < rounds; i++) {
+    state.set(refs[1 + i % (kVars - 1)], static_cast<double>(i % 7));
+    acc += sum->evaluate(state) + count->evaluate(state);
+  }
+  const std::uint64_t allocs = scope.allocations();
+  EXPECT_EQ(state.exact_sum_named("x").has_value(), exact);
+  EXPECT_GT(acc, 0.0);
+  return allocs;
+}
+
+TEST(AllocGuard, AggregateUpdateIsAllocationFreeOnExactPath) {
+  EXPECT_EQ(aggregate_update_allocs(10'000, /*exact=*/true), 0u);
+}
+
+TEST(AllocGuard, AggregateUpdateIsAllocationFreeOnScanFallback) {
+  EXPECT_EQ(aggregate_update_allocs(2'000, /*exact=*/false), 0u);
+}
+
 // --- 8-thread repeat -------------------------------------------------------
 
 // Counters are thread-local, so each thread independently asserts zero for
@@ -470,7 +511,7 @@ TEST(AllocGuard, AllPinnedPathsStayAllocationFreeOn8Threads) {
   for (int t = 0; t < kThreads; t++) {
     threads.emplace_back([t, &allocs] {
       std::uint64_t total = 0;
-      switch (t % 7) {
+      switch (t % 8) {
         case 0:
           total = scheduler_steady_allocs(2'000);
           break;
@@ -491,6 +532,10 @@ TEST(AllocGuard, AllPinnedPathsStayAllocationFreeOn8Threads) {
           break;
         case 6:
           total = checker_fault_feed_allocs(512);
+          break;
+        case 7:
+          total = aggregate_update_allocs(1'000, /*exact=*/true) +
+                  aggregate_update_allocs(200, /*exact=*/false);
           break;
       }
       allocs[static_cast<std::size_t>(t)] = total;

@@ -26,6 +26,10 @@ TEST(OverlayTest, StarTopology) {
   const Overlay o = Overlay::star(5, /*hub=*/0);
   EXPECT_EQ(o.neighbors(0).size(), 4u);
   EXPECT_EQ(o.neighbors(3).size(), 1u);
+  // has_edge scans the shorter list: the leaf's, from either end.
+  EXPECT_TRUE(o.has_edge(0, 3));
+  EXPECT_TRUE(o.has_edge(3, 0));
+  EXPECT_FALSE(o.has_edge(1, 2));
   EXPECT_EQ(o.hop_distance(1, 2), 2u);  // via the hub
   EXPECT_EQ(o.hop_distance(0, 4), 1u);
   EXPECT_TRUE(o.is_connected());

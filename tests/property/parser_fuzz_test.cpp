@@ -1,10 +1,15 @@
 // Parser round-trip fuzzing: random expression trees are printed with
 // Expr::to_string and re-parsed; the two must evaluate identically on
 // random states. Catches precedence/associativity drift between printer
-// and parser.
+// and parser. The same random states also check every aggregate against
+// the full-scan reference bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "aggregate_reference.hpp"
 #include "common/rng.hpp"
 #include "core/predicate_parser.hpp"
 
@@ -36,11 +41,17 @@ class ExprGenerator {
     }
   }
 
+  /// Integral values, so sum answers from GlobalState's exact summary,
+  /// except in about a third of the states, where some values are
+  /// fractional and force the scan fallback.
   GlobalState random_state() {
     GlobalState s;
+    const bool fractional = rng_.bernoulli(0.3);
     for (const char* name : {"x", "y", "temp"}) {
       for (ProcessId pid = 0; pid < 3; ++pid) {
-        s.set(VarRef{pid, name}, std::floor(rng_.uniform(-10.0, 10.0)));
+        double v = std::floor(rng_.uniform(-10.0, 10.0));
+        if (fractional && rng_.bernoulli(0.3)) v += 0.5;
+        s.set(VarRef{pid, name}, v);
       }
     }
     return s;
@@ -99,6 +110,22 @@ TEST_P(ParserFuzzTest, PrintParseRoundTripPreservesSemantics) {
     }
     // Printing is a fixed point after one round trip.
     EXPECT_EQ(reparsed->to_string(), parse_expr(reparsed->to_string())->to_string());
+  }
+}
+
+TEST_P(ParserFuzzTest, AggregatesMatchFullScanBitwise) {
+  ExprGenerator gen(GetParam() + 9000);
+  for (int probe = 0; probe < 50; ++probe) {
+    const GlobalState state = gen.random_state();
+    for (const char* name : {"x", "y", "temp"}) {
+      for (const AggregateOp op : test_support::kAllAggregateOps) {
+        EXPECT_EQ(
+            std::bit_cast<std::uint64_t>(aggregate(op, name)->evaluate(state)),
+            std::bit_cast<std::uint64_t>(
+                test_support::scan_aggregate(state, op, name)))
+            << to_string(op) << "(" << name << ")";
+      }
+    }
   }
 }
 
