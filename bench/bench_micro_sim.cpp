@@ -68,7 +68,11 @@ void BM_FullOccupancySecond(benchmark::State& state) {
     core::ShardedPervasiveSystem system({sys});
     std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
     for (ProcessId pid = 1; pid <= doors; ++pid) {
-      const auto obj = system.world().create_object("o" + std::to_string(pid));
+      // Appending, not "o" + to_string(pid): gcc 12 -O2 reports a false
+      // -Wrestrict overlap inside char_traits::copy for the latter.
+      std::string name = "o";
+      name += std::to_string(pid);
+      const auto obj = system.world().create_object(name);
       system.world().object(obj).set_attribute("count", std::int64_t{0});
       system.assign(obj, "count", pid);
       drivers.push_back(std::make_unique<world::AttributeDriver>(
@@ -166,7 +170,9 @@ void BM_LatticeCount(benchmark::State& state) {
   core::ShardedPervasiveSystem system({sys});
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   for (ProcessId pid = 1; pid <= 4; ++pid) {
-    const auto obj = system.world().create_object("o" + std::to_string(pid));
+    std::string name = "o";
+    name += std::to_string(pid);
+    const auto obj = system.world().create_object(name);
     system.world().object(obj).set_attribute("count", std::int64_t{0});
     system.assign(obj, "count", pid);
     drivers.push_back(std::make_unique<world::AttributeDriver>(

@@ -42,6 +42,7 @@
 // serve-only: --procs N --retention MS --metrics-every N --lenient
 //             --listen PORT|UNIX-PATH --max-streams N --max-buffer BYTES
 //             --idle-timeout SECS
+//             (--max-buffer caps one input line, stdin and sockets alike)
 //
 // Exit codes: 0 ok · 1 violations · 2 usage/config error · 3 stream input
 // rejected (serve) · 4 trace ring truncated under check. Multi-stream serve
@@ -63,6 +64,8 @@
 //   psn_cli run --trace /dev/stdout --trace-cap 200000 | psn_cli serve
 //   psn_cli serve --listen 7070 --max-streams 16   # socket soak server
 
+#include <unistd.h>
+
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -70,6 +73,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/export.hpp"
@@ -77,7 +81,7 @@
 #include "common/error.hpp"
 #include "common/table.hpp"
 #include "serve/listener.hpp"
-#include "serve/soak_server.hpp"
+#include "serve/session.hpp"
 #include "sim/fault.hpp"
 
 namespace {
@@ -150,7 +154,9 @@ void print_shared_usage() {
       "         default, or a multi-stream socket server via --listen\n"
       "         (all-digit spec = TCP port on 127.0.0.1, 0 = ephemeral;\n"
       "         anything else = unix socket path). SIGINT/SIGTERM drain\n"
-      "         every session and emit its eof verdict.\n"
+      "         every session and emit its eof verdict. --max-buffer\n"
+      "         caps one input line (default 65536 bytes), on stdin and\n"
+      "         on every socket stream alike.\n"
       "         [--procs N] [--retention MS] [--validity MS]\n"
       "         [--metrics-every N] [--lenient]\n"
       "         [--listen PORT|UNIX-PATH] [--max-streams N]\n"
@@ -565,8 +571,18 @@ int cmd_serve(const std::vector<std::string>& args) {
       return 2;
     }
   }
-  serve::SoakServer server(cfg, std::cout);
-  const serve::SoakReport report = server.run(std::cin);
+  serve::SessionConfig session_cfg;
+  session_cfg.soak = cfg;
+  session_cfg.max_line_bytes = max_buffer;
+  // Stream writes that fail (downstream pipe closed, disk full) stop the
+  // session instead of killing the process; see Session::emit.
+  const serve::SoakReport report = serve::serve_fd(
+      session_cfg, STDIN_FILENO, [](std::string_view chunk) {
+        std::cout.write(chunk.data(),
+                        static_cast<std::streamsize>(chunk.size()));
+        return !std::cout.fail();
+      });
+  std::cout.flush();
   return report.exit_code;
 }
 

@@ -1,6 +1,9 @@
 #include "serve/session.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <utility>
 
 #include "analysis/export.hpp"
@@ -103,15 +106,21 @@ void Session::on_data(std::string_view bytes) {
       continue;
     }
     if (nl != std::string_view::npos) {
-      buffer_.append(bytes.substr(i, nl - i));
+      // A line wholly inside this chunk is parsed in place; only one split
+      // across chunks goes through the reassembly buffer.
+      std::string_view line = bytes.substr(i, nl - i);
+      if (!buffer_.empty()) {
+        buffer_.append(line);
+        line = buffer_;
+      }
       i = nl + 1;
-      if (buffer_.size() > cfg_.max_line_bytes) {
+      if (line.size() > cfg_.max_line_bytes) {
         report_.lines_read++;
         reject("line exceeds --max-buffer (" +
                    std::to_string(cfg_.max_line_bytes) + " bytes)",
                report_.overlong_lines, overlong_);
       } else {
-        ingest_line(buffer_);
+        ingest_line(line);
       }
       buffer_.clear();
       continue;
@@ -193,7 +202,8 @@ void Session::ingest_line(std::string_view line) {
 
 const SoakReport& Session::finish() {
   if (finished_) return report_;
-  // A trailing unterminated line counts, exactly as std::getline yields it.
+  // A trailing unterminated line counts as a line, as it would if the
+  // producer had ended it with '\n'.
   if (!buffer_.empty() && !discarding_line_ && !stopped()) {
     ingest_line(buffer_);
   }
@@ -223,6 +233,19 @@ const SoakReport& Session::finish() {
        ",\"peak_pending\":" + std::to_string(report_.peak_pending_sends) +
        ",\"exit\":" + std::to_string(report_.exit_code) + "}\n");
   return report_;
+}
+
+SoakReport serve_fd(const SessionConfig& config, int fd,
+                    Session::Writer writer) {
+  Session session(config, std::move(writer));
+  char buf[65536];
+  while (!session.stopped()) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // EOF, or a read error, which ends the stream too
+    session.on_data(std::string_view(buf, static_cast<std::size_t>(n)));
+  }
+  return session.finish();
 }
 
 }  // namespace psn::serve

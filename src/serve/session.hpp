@@ -47,8 +47,8 @@ struct SoakReport {
   std::size_t records_fed = 0;
   std::size_t malformed_lines = 0;
   std::size_t out_of_order_lines = 0;
-  /// Lines that outgrew the reassembly buffer cap (socket mode's
-  /// slow-producer policy; see SessionConfig::max_line_bytes).
+  /// Lines that outgrew the reassembly buffer cap (the slow-producer
+  /// policy; see SessionConfig::max_line_bytes).
   std::size_t overlong_lines = 0;
   std::size_t detect_records = 0;
   std::size_t violations = 0;
@@ -69,15 +69,17 @@ struct SessionConfig {
   /// single-stream output is byte-identical to the pre-socket server.
   std::optional<std::uint64_t> stream_id;
 
-  /// Cap on the per-session line-reassembly buffer. A producer that sends
-  /// more than this without a newline hits the slow-producer policy: strict
-  /// mode rejects the session (exit 3), lenient mode drops bytes up to the
-  /// next newline and counts the loss (SoakReport::overlong_lines).
+  /// Cap on the per-session line-reassembly buffer, the same for stdin and
+  /// sockets (`--max-buffer`). A producer that sends more than this without
+  /// a newline hits the slow-producer policy: strict mode rejects the
+  /// session (exit 3), lenient mode drops bytes up to the next newline and
+  /// counts the loss (SoakReport::overlong_lines).
   std::size_t max_line_bytes = std::size_t{1} << 16;
 };
 
-/// One verification stream: the session core shared by the stdin SoakServer
-/// and every socket connection of serve::Listener (DESIGN.md §12). Owns a
+/// One verification stream: the session core behind stdin `psn_cli serve`
+/// (serve_fd) and every socket connection of serve::Listener (DESIGN.md
+/// §12). Both feed it raw read(2) chunks through on_data. Owns a
 /// bounded trace-only StreamChecker, the line-reassembly buffer, and the
 /// JSONL event writer; emits the same event lines as the single-stream
 /// server by construction, which is what makes the multi-stream equivalence
@@ -92,12 +94,12 @@ class Session {
 
   Session(const SessionConfig& config, Writer writer);
 
-  /// Line-oriented entry (stdin mode, tests): one complete line, no '\n'.
-  /// No-op once the session has stopped.
+  /// Line-oriented entry (tests, in-memory replays): one complete line, no
+  /// '\n'. No-op once the session has stopped.
   void feed_line(std::string_view line);
 
-  /// Byte-oriented entry (socket mode): reassembles lines out of arbitrary
-  /// read chunks, honoring max_line_bytes. No-op once stopped.
+  /// Byte-oriented entry (stdin and sockets): reassembles lines out of
+  /// arbitrary read chunks, honoring max_line_bytes. No-op once stopped.
   void on_data(std::string_view bytes);
 
   /// True once the session stopped consuming input: strict-mode rejection
@@ -137,7 +139,7 @@ class Session {
   MetricsRegistry::Counter stale_;
   SoakReport report_;
 
-  std::string buffer_;          ///< line reassembly (socket mode)
+  std::string buffer_;          ///< a line split across read chunks
   bool discarding_line_ = false;  ///< lenient overlong: drop to next '\n'
   SimTime last_ = SimTime::zero();
   bool have_last_ = false;
@@ -151,5 +153,14 @@ class Session {
   bool write_failed_ = false;
   bool finished_ = false;
 };
+
+/// Runs one Session over a byte stream until EOF: the stdin mode of
+/// `psn_cli serve`. Reads `fd` in 64 KiB chunks with read(2) into
+/// Session::on_data, exactly as the Listener feeds a socket, and stops
+/// reading at the first strict-mode rejection or write failure. EINTR is
+/// retried; any other read error ends the stream like EOF. Returns the
+/// finished session's report; `fd` is not closed.
+SoakReport serve_fd(const SessionConfig& config, int fd,
+                    Session::Writer writer);
 
 }  // namespace psn::serve

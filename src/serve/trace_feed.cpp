@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <string>
+#include <string_view>
 
 #if !defined(__cpp_lib_to_chars) || __cpp_lib_to_chars < 201611L
 #include <cerrno>
@@ -36,10 +37,12 @@ class LineParser {
       return out;
     }
     while (true) {
-      std::string key;
-      if (!parse_string(key)) return fail(out, "expected key string");
+      std::string_view key;
+      if (!parse_string(key, key_buf_)) return fail(out, "expected key string");
       skip_ws();
-      if (!consume(':')) return fail(out, "expected ':' after key \"" + key + "\"");
+      if (!consume(':')) {
+        return fail(out, "expected ':' after key \"", key, "\"");
+      }
       skip_ws();
       if (!parse_value(key, out)) return out;
       skip_ws();
@@ -48,7 +51,7 @@ class LineParser {
         continue;
       }
       if (consume('}')) break;
-      return fail(out, "expected ',' or '}' after value of \"" + key + "\"");
+      return fail(out, "expected ',' or '}' after value of \"", key, "\"");
     }
     skip_ws();
     if (p_ != end_) return fail(out, "trailing content after '}'");
@@ -59,6 +62,15 @@ class LineParser {
  private:
   ParsedRecord& fail(ParsedRecord& out, const std::string& why) {
     if (out.error.empty()) out.error = why;
+    return out;
+  }
+
+  /// A diagnostic naming a token of the line: `before` + `token` + `after`.
+  ParsedRecord& fail(ParsedRecord& out, std::string_view before,
+                     std::string_view token, std::string_view after) {
+    if (out.error.empty()) {
+      out.error.append(before).append(token).append(after);
+    }
     return out;
   }
 
@@ -79,9 +91,28 @@ class LineParser {
     return true;
   }
 
-  bool parse_string(std::string& out) {
+  /// Reads one string token. A token without escapes is returned as a view
+  /// into the line, with no copy; only one holding a backslash is decoded,
+  /// into `storage`, and the view points there.
+  bool parse_string(std::string_view& out, std::string& storage) {
     if (!consume('"')) return false;
-    out.clear();
+    const char* start = p_;
+    while (p_ != end_ && *p_ != '"' && *p_ != '\\') p_++;
+    if (p_ == end_) return false;
+    if (*p_ == '"') {
+      out = std::string_view(start, static_cast<std::size_t>(p_ - start));
+      p_++;
+      return true;
+    }
+    storage.assign(start, p_);
+    if (!decode_escaped(storage)) return false;
+    out = storage;
+    return true;
+  }
+
+  /// The rest of a string token from its first backslash on, decoded and
+  /// appended to `out`; consumes the closing quote.
+  bool decode_escaped(std::string& out) {
     while (p_ != end_ && *p_ != '"') {
       char c = *p_++;
       if (c != '\\') {
@@ -172,9 +203,9 @@ class LineParser {
 #endif
   }
 
-  bool seen(ParsedRecord& out, bool& flag, const std::string& key) {
+  bool seen(ParsedRecord& out, bool& flag, std::string_view key) {
     if (flag) {
-      fail(out, "duplicate key \"" + key + "\"");
+      fail(out, "duplicate key \"", key, "\"");
       return true;
     }
     flag = true;
@@ -183,7 +214,7 @@ class LineParser {
 
   /// Dispatches one key/value pair into the record. Returns false (with
   /// out.error set) on any malformation.
-  bool parse_value(const std::string& key, ParsedRecord& out) {
+  bool parse_value(std::string_view key, ParsedRecord& out) {
     if (key == "t") {
       if (seen(out, have_t_, key)) return false;
       double seconds = 0.0;
@@ -197,8 +228,8 @@ class LineParser {
     }
     if (key == "kind") {
       if (seen(out, have_kind_, key)) return false;
-      std::string name;
-      if (!parse_string(name)) {
+      std::string_view name;
+      if (!parse_string(name, value_buf_)) {
         fail(out, "\"kind\" must be a string");
         return false;
       }
@@ -208,7 +239,7 @@ class LineParser {
           return true;
         }
       }
-      fail(out, "unknown trace kind \"" + name + "\"");
+      fail(out, "unknown trace kind \"", name, "\"");
       return false;
     }
     if (key == "pid" || key == "peer") {
@@ -216,7 +247,7 @@ class LineParser {
       if (seen(out, flag, key)) return false;
       std::uint64_t v = 0;
       if (!parse_uint(v) || v >= kNoProcess) {
-        fail(out, "\"" + key + "\" must be a process id");
+        fail(out, "\"", key, "\" must be a process id");
         return false;
       }
       (key == "pid" ? out.record.pid : out.record.peer) =
@@ -225,8 +256,8 @@ class LineParser {
     }
     if (key == "msg") {
       if (seen(out, have_msg_, key)) return false;
-      std::string name;
-      if (!parse_string(name)) {
+      std::string_view name;
+      if (!parse_string(name, value_buf_)) {
         fail(out, "\"msg\" must be a string");
         return false;
       }
@@ -237,7 +268,7 @@ class LineParser {
           return true;
         }
       }
-      fail(out, "unknown message kind \"" + name + "\"");
+      fail(out, "unknown message kind \"", name, "\"");
       return false;
     }
     if (key == "bytes") {
@@ -260,18 +291,22 @@ class LineParser {
     }
     if (key == "note") {
       if (seen(out, have_note_, key)) return false;
-      if (!parse_string(out.record.note)) {
+      std::string_view note;
+      if (!parse_string(note, value_buf_)) {
         fail(out, "\"note\" must be a string");
         return false;
       }
+      out.record.note.assign(note);
       return true;
     }
-    fail(out, "unknown key \"" + key + "\"");
+    fail(out, "unknown key \"", key, "\"");
     return false;
   }
 
   const char* p_;
   const char* end_;
+  /// Decoded copies of escaped tokens; the key's must outlive its value.
+  std::string key_buf_, value_buf_;
   bool have_t_ = false, have_kind_ = false, have_pid_ = false,
        have_peer_ = false, have_msg_ = false, have_bytes_ = false,
        have_seq_ = false, have_note_ = false;

@@ -30,12 +30,16 @@
 //   7. Incremental aggregates (DESIGN.md §11): GlobalState::set on an
 //      existing variable plus sum/count evaluation, on both the exact
 //      summary path and the full-scan fallback.
+//   8. serve::parse_trace_line on the lines a recorded run produces (no
+//      escapes, notes within the short-string buffer): keys and enum names
+//      are read as views into the line, never copied.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -53,6 +57,7 @@
 #include "net/message.hpp"
 #include "net/overlay.hpp"
 #include "net/transport.hpp"
+#include "serve/trace_feed.hpp"
 #include "sim/fault.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulation.hpp"
@@ -497,6 +502,49 @@ TEST(AllocGuard, AggregateUpdateIsAllocationFreeOnScanFallback) {
   EXPECT_EQ(aggregate_update_allocs(2'000, /*exact=*/false), 0u);
 }
 
+// --- 8. trace line parser ---------------------------------------------------
+
+/// Parses wire lines shaped like a recorded hall run's trace — every record
+/// kind the serve-stream replay carries, `note` at most 15 characters and
+/// free of escapes — `rounds` times over.
+std::uint64_t trace_parse_allocs(std::size_t rounds) {
+  std::vector<sim::TraceRecord> records(5);
+  records[0].kind = sim::TraceKind::kSense;
+  records[0].note = "entered";
+  records[1].kind = sim::TraceKind::kSend;
+  records[1].peer = 0;
+  records[1].bytes = 57;
+  records[2].kind = sim::TraceKind::kDeliver;
+  records[2].peer = 3;
+  records[2].message_kind = static_cast<int>(net::MessageKind::kStrobe);
+  records[3].kind = sim::TraceKind::kReceive;
+  records[3].message_kind = static_cast<int>(net::MessageKind::kComputation);
+  records[4].kind = sim::TraceKind::kDetect;
+  records[4].note = "physical-eps";
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < records.size(); i++) {
+    records[i].at =
+        SimTime::from_seconds(12.345678901 + 0.001 * static_cast<double>(i));
+    records[i].pid = static_cast<ProcessId>(i + 1);
+    records[i].seq = 1000 + i;
+    lines.push_back(serve::trace_line(records[i]));
+  }
+  std::size_t parsed_ok = 0;
+  Scope scope;
+  for (std::size_t r = 0; r < rounds; r++) {
+    for (const std::string& line : lines) {
+      if (serve::parse_trace_line(line).ok()) parsed_ok++;
+    }
+  }
+  const std::uint64_t allocs = scope.allocations();
+  EXPECT_EQ(parsed_ok, rounds * lines.size());
+  return allocs;
+}
+
+TEST(AllocGuard, TraceLineParseIsAllocationFree) {
+  EXPECT_EQ(trace_parse_allocs(2'000), 0u);
+}
+
 // --- 8-thread repeat -------------------------------------------------------
 
 // Counters are thread-local, so each thread independently asserts zero for
@@ -535,7 +583,8 @@ TEST(AllocGuard, AllPinnedPathsStayAllocationFreeOn8Threads) {
           break;
         case 7:
           total = aggregate_update_allocs(1'000, /*exact=*/true) +
-                  aggregate_update_allocs(200, /*exact=*/false);
+                  aggregate_update_allocs(200, /*exact=*/false) +
+                  trace_parse_allocs(200);
           break;
       }
       allocs[static_cast<std::size_t>(t)] = total;

@@ -1,10 +1,11 @@
 // Multi-stream socket listener tests (DESIGN.md §12). The load-bearing
 // property is equivalence: N concurrent socket clients must each receive
-// byte-identical output to N sequential stdin `serve` runs over the same
-// traces (modulo the `"stream":<id>` field on metrics/eof events). The rest
-// pins the protocol edges: --max-streams over-limit rejection, surviving an
-// abrupt client disconnect, graceful drain on stop, exit-code aggregation
-// precedence, per-stream metric labels, and the AF_UNIX listen path.
+// byte-identical output to N sequential stdin `serve` runs (serve_fd over
+// a pipe) on the same traces, modulo the `"stream":<id>` field on
+// metrics/eof events. The rest pins the protocol edges: --max-streams
+// over-limit rejection, surviving an abrupt client disconnect, graceful
+// drain on stop, exit-code aggregation precedence, per-stream metric
+// labels, and the AF_UNIX listen path.
 //
 // Clients always run a concurrent reader (a thread, or interleaved
 // blocking reads on small payloads): a client that only sends while the
@@ -30,7 +31,7 @@
 #include "analysis/export.hpp"
 #include "common/error.hpp"
 #include "common/fd.hpp"
-#include "serve/soak_server.hpp"
+#include "pipe_serve.hpp"
 
 namespace psn::serve {
 namespace {
@@ -226,12 +227,10 @@ TEST(ListenerTest, ConcurrentStreamsAreByteIdenticalToSequentialServes) {
   std::vector<std::string> expected;
   for (const std::uint64_t seed : seeds) {
     traces.push_back(occupancy_trace(seed));
-    std::istringstream in(traces.back());
-    std::ostringstream out;
-    SoakServer server(occupancy_session_config(), out);
-    const SoakReport report = server.run(in);
-    EXPECT_EQ(report.exit_code, 0) << "seed " << seed;
-    expected.push_back(out.str());
+    const PipeServe served =
+        serve_through_pipe(occupancy_session_config(), traces.back());
+    EXPECT_EQ(served.report.exit_code, 0) << "seed " << seed;
+    expected.push_back(served.out);
   }
 
   ListenerConfig cfg;
