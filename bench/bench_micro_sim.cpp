@@ -22,7 +22,7 @@ void BM_SchedulerScheduleAndRun(benchmark::State& state) {
     for (std::size_t i = 0; i < n; ++i) {
       sched.schedule_at(SimTime(static_cast<std::int64_t>(i)), [] {});
     }
-    benchmark::DoNotOptimize(sched.run());
+    benchmark::DoNotOptimize(sched.run_until(SimTime::max()));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
@@ -48,7 +48,7 @@ void BM_TransportBroadcast(benchmark::State& state) {
   msg.payload = payload;
   for (auto _ : state) {
     transport.broadcast(msg);
-    sim.scheduler().run();
+    sim.scheduler().run_until(SimTime::max());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n - 1));

@@ -161,13 +161,4 @@ RunInputs inputs_from(const core::ShardedPervasiveSystem& system,
   return in;
 }
 
-CheckReport check_system(const core::ShardedPervasiveSystem& system,
-                         const CheckOptions& options) {
-  CheckOptions opts = options;
-  // Compensate declared clock faults automatically when the caller did not
-  // supply a schedule of their own.
-  if (opts.faults == nullptr) opts.faults = system.faults();
-  return check_run(inputs_from(system, system.trace_records()), opts);
-}
-
 }  // namespace psn::check

@@ -164,8 +164,4 @@ CheckReport check_run(const RunInputs& inputs, const CheckOptions& options = {})
 RunInputs inputs_from(const core::ShardedPervasiveSystem& system,
                       std::vector<sim::TraceRecord> trace);
 
-/// inputs_from + check_run.
-CheckReport check_system(const core::ShardedPervasiveSystem& system,
-                         const CheckOptions& options = {});
-
 }  // namespace psn::check

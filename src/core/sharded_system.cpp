@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 #include "net/transport.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/sharded.hpp"
@@ -333,15 +332,14 @@ std::size_t ShardedPervasiveSystem::run() {
   std::size_t total = 0;
   if (shards_.size() == 1) {
     // One shard: the plain serial loop, no window machinery, so every delay
-    // kind works at K = 1. Simulation::run() writes the sim.* gauges.
+    // kind works at K = 1. Simulation::run() records the run end.
     sim::Simulation& sim = *shards_[0]->sim;
     total = sim.run();
     truncated_ = sim.truncated();
   } else {
-    const SimTime horizon = config_.base.sim.horizon;
     sim::ShardedSimulation::Config dcfg;
     dcfg.window = window_;
-    dcfg.horizon = horizon;
+    dcfg.horizon = config_.base.sim.horizon;
     dcfg.pool_threads = config_.pool_threads;
     std::vector<sim::Simulation*> sims;
     sims.reserve(shards_.size());
@@ -351,19 +349,10 @@ std::size_t ShardedPervasiveSystem::run() {
     truncated_ = driver.truncated();
     windows_ = driver.windows();
 
-    // The same gauges Simulation::run() writes at K = 1, written once into
-    // shard 0's registry only (per-shard gauges would merge additively into
-    // K-dependent values).
     std::size_t pending = 0;
     for (const auto& sh : shards_) pending += sh->sim->scheduler().pending();
-    MetricsRegistry& metrics = shards_[0]->sim->metrics();
-    metrics.gauge("sim.simulated_s").set(horizon.to_seconds());
-    metrics.gauge("sim.pending_at_end").set(static_cast<double>(pending));
-    if (truncated_) {
-      metrics.counter("sim.truncated_runs").inc();
-      PSN_WARN << "sharded run hit max_events before horizon; results are "
-                  "truncated";
-    }
+    sim::record_run_end(shards_[0]->sim->metrics(), config_.base.sim, pending,
+                        truncated_);
   }
   merge_root_logs();
   return total;

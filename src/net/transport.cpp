@@ -318,15 +318,7 @@ PSN_HOT void Transport::transmit(Message msg, std::size_t bytes) {
     deliver_now(std::move(msg), bytes);
     return;
   }
-  auto deliver = [this, msg = std::move(msg), bytes]() mutable {
-    deliver_now(std::move(msg), bytes);
-  };
-  // The whole point of the shared payload: the per-recipient delivery
-  // closure is small enough to live inside the scheduler's slab slot, so a
-  // broadcast fan-out schedules N deliveries with zero heap allocations.
-  static_assert(sim::Scheduler::Callback::stores_inline<decltype(deliver)>(),
-                "delivery closure must fit the scheduler's inline buffer");
-  sim_.scheduler().schedule_at(at, tie, std::move(deliver));
+  inject_delivery(at, tie, std::move(msg), bytes);
 }
 
 std::uint64_t Transport::delivery_tie(std::uint64_t seq, ProcessId dst) {
@@ -350,12 +342,15 @@ PSN_HOT void Transport::deliver_now(Message msg, std::size_t bytes) {
   handlers_[dst](msg);
 }
 
-void Transport::inject_delivery(SimTime at, std::uint64_t tie, Message msg,
-                                std::size_t bytes) {
+PSN_HOT void Transport::inject_delivery(SimTime at, std::uint64_t tie,
+                                        Message msg, std::size_t bytes) {
   PSN_CHECK(at >= sim_.now(), "injected delivery lands in this shard's past");
   auto deliver = [this, msg = std::move(msg), bytes]() mutable {
     deliver_now(std::move(msg), bytes);
   };
+  // The whole point of the shared payload: the per-recipient delivery
+  // closure is small enough to live inside the scheduler's slab slot, so a
+  // broadcast fan-out schedules N deliveries with zero heap allocations.
   static_assert(sim::Scheduler::Callback::stores_inline<decltype(deliver)>(),
                 "delivery closure must fit the scheduler's inline buffer");
   sim_.scheduler().schedule_at(at, tie, std::move(deliver));

@@ -156,8 +156,9 @@ class Transport {
   /// delivery replays through the owner's transport.
   void deliver_now(Message msg, std::size_t bytes);
 
-  /// Schedules a delivery whose time/tie were computed by a peer shard's
-  /// transmit() (the sender's side of the outbox exchange).
+  /// Puts a delivery on this transport's calendar at a precomputed (at,
+  /// tie): the one scheduling site for local deliveries from transmit() and
+  /// for a peer shard's buffered ones replayed at the fence.
   void inject_delivery(SimTime at, std::uint64_t tie, Message msg,
                        std::size_t bytes);
 

@@ -21,27 +21,27 @@ ShardedSimulation::ShardedSimulation(std::vector<Simulation*> shards,
   }
 }
 
-std::size_t ShardedSimulation::drain_all(SimTime fence) {
+std::size_t ShardedSimulation::drain_all(SimTime last) {
   // Results are gathered per shard and summed in shard order: the total is
   // deterministic whatever the completion order of the pool tasks.
   if (pool_ == nullptr) {
     std::size_t n = 0;
-    for (Simulation* s : shards_) n += s->scheduler().run_until_before(fence);
+    for (Simulation* s : shards_) n += s->scheduler().run_until(last);
     return n;
   }
   std::vector<std::future<std::size_t>> turns;
   turns.reserve(shards_.size());
   for (Simulation* s : shards_) {
-    turns.push_back(pool_->submit(
-        [s, fence]() { return s->scheduler().run_until_before(fence); }));
+    turns.push_back(
+        pool_->submit([s, last]() { return s->scheduler().run_until(last); }));
   }
   std::size_t n = 0;
   for (auto& t : turns) n += t.get();  // the window barrier
   return n;
 }
 
-bool ShardedSimulation::quiescent(SimTime horizon) {
-  for (Simulation* s : shards_) {
+bool ShardedSimulation::quiescent(SimTime horizon) const {
+  for (const Simulation* s : shards_) {
     if (s->scheduler().next_time() <= horizon) return false;
   }
   return true;
@@ -51,18 +51,23 @@ std::size_t ShardedSimulation::run(const ExchangeFn& exchange) {
   PSN_CHECK(static_cast<bool>(exchange), "null exchange hook");
   truncated_ = false;
   windows_ = 0;
-  // `stop` is one tick past the horizon so the final window's exclusive
-  // fence still executes events *at* the horizon, matching the serial
-  // run_until(horizon) inclusive semantics.
-  const SimTime stop = config_.horizon + Duration::nanos(1);
+  const SimTime horizon = config_.horizon;
+  const Duration window = config_.window;
   std::size_t max_events = SIZE_MAX;
   for (const Simulation* s : shards_) {
     max_events = std::min(max_events, s->config().max_events);
   }
+  // Window k covers [(k-1)W, kW): each shard drains every event at or
+  // before the inclusive bound kW - 1ns, clamped to the horizon so the last
+  // window still runs the events *at* the horizon. Bounds advance by
+  // comparing the distance left to the horizon, so no sum overflows at
+  // SimTime::max().
+  SimTime last = horizon - SimTime::zero() < window
+                     ? horizon
+                     : SimTime::zero() + window - Duration::nanos(1);
   std::size_t total = 0;
-  SimTime fence = std::min(stop, SimTime::zero() + config_.window);
   for (;;) {
-    total += drain_all(fence);
+    total += drain_all(last);
     windows_++;
     const std::size_t injected = exchange();
     if (total >= max_events) {
@@ -71,10 +76,10 @@ std::size_t ShardedSimulation::run(const ExchangeFn& exchange) {
       truncated_ = true;
       return total;
     }
-    if (fence == stop && injected == 0 && quiescent(config_.horizon)) {
+    if (last == horizon && injected == 0 && quiescent(horizon)) {
       return total;
     }
-    if (fence < stop) fence = std::min(stop, fence + config_.window);
+    last = horizon - last <= window ? horizon : last + window;
   }
 }
 

@@ -19,8 +19,9 @@ namespace psn::sim {
 /// drain its own calendar up to the fence f with no knowledge of its peers,
 /// and only the fences need synchronizing. The loop per window:
 ///
-///   1. every shard runs `Scheduler::run_until_before(fence)` (in parallel
-///      on a ThreadPool; cross-shard sends land in outboxes, not calendars);
+///   1. every shard drains its calendar through `Scheduler::run_until` up to
+///      the inclusive bound f - 1ns (in parallel on a ThreadPool; cross-shard
+///      sends land in outboxes, not calendars);
 ///   2. barrier; the caller-supplied exchange hook drains all outboxes into
 ///      the owner shards' calendars, serially and in a canonical order;
 ///   3. fence += W, until the horizon is passed and the system quiesces.
@@ -65,8 +66,8 @@ class ShardedSimulation {
   std::size_t windows() const { return windows_; }
 
  private:
-  std::size_t drain_all(SimTime fence);
-  bool quiescent(SimTime horizon);
+  std::size_t drain_all(SimTime last);
+  bool quiescent(SimTime horizon) const;
 
   std::vector<Simulation*> shards_;
   Config config_;

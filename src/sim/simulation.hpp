@@ -50,9 +50,6 @@ class Simulation {
   /// guard on the pointer, so a disabled trace costs one branch.
   TraceRecorder* trace() { return trace_.get(); }
   const TraceRecorder* trace() const { return trace_.get(); }
-  /// Enables tracing with the given ring capacity (idempotent; re-enabling
-  /// with a different capacity restarts the buffer).
-  void enable_trace(std::size_t capacity);
 
   /// Independent RNG stream for a named component.
   Rng rng_for(const std::string& name, std::uint64_t index = 0) const;
@@ -75,5 +72,15 @@ class Simulation {
   std::unique_ptr<TraceRecorder> trace_;
   bool truncated_ = false;
 };
+
+/// The run-end record both drivers write once a run stops: the
+/// `sim.simulated_s` and `sim.pending_at_end` gauges, plus the
+/// `sim.truncated_runs` counter and a warning when the `max_events` safety
+/// valve fired. Simulation::run() writes it into its own registry; the
+/// sharded system writes it into shard 0's only, with `pending` summed over
+/// the shards (per-shard gauges would merge additively into K-dependent
+/// values).
+void record_run_end(MetricsRegistry& metrics, const SimConfig& config,
+                    std::size_t pending, bool truncated);
 
 }  // namespace psn::sim

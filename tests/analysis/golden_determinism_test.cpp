@@ -22,6 +22,7 @@
 #include "analysis/experiments.hpp"
 #include "analysis/export.hpp"
 #include "analysis/sweep.hpp"
+#include "core/system.hpp"
 #include "net/message.hpp"
 
 namespace psn::analysis {
@@ -297,6 +298,64 @@ TEST(FaultyGoldenTest, FaultScheduleNeverBreaksShardOrThreadDeterminism) {
       EXPECT_EQ(got.detections, ref.detections) << where << ": detections";
       EXPECT_EQ(got.metrics_csv, ref.metrics_csv) << where << ": metrics";
       EXPECT_EQ(got.trace_jsonl, ref.trace_jsonl) << where << ": trace";
+    }
+  }
+}
+
+// --- the city shape --------------------------------------------------------
+//
+// `psn_cli run --scenario city` at test scale: star topology, physical wire
+// mode, lean clocks, one unicast report per sensing to the root. No other
+// fixture sets lean_clocks or unicast_reports, and this is the only shape
+// the benchmark runs at K > 1. The 1-shard artifacts are pinned, and every
+// {2, 4} shards × {1, 4} threads shape must reproduce them byte for byte.
+
+OccupancyConfig city_config() {
+  OccupancyConfig cfg;
+  cfg.doors = 64;
+  cfg.capacity = 32;           // the city preset's doors / 2
+  cfg.movement_rate = 2000.0;  // the city preset's floor
+  cfg.horizon = Duration::seconds(3);
+  cfg.topology = core::TopologyKind::kStar;
+  cfg.clock_mode = net::ClockMode::kPhysical;
+  cfg.lean_clocks = true;
+  cfg.unicast_reports = true;
+  cfg.trace_capacity = 1 << 18;
+  return cfg;
+}
+
+// Fixture for the 1-shard city reference run (PSN_GOLDEN_PRINT=1).
+constexpr GoldenHashes kCityGolden = {"city", "d89f92e30731944b",
+                                      "f8b69ca7193459dd", "844ca0f43e859cfd"};
+
+TEST(ShardedGoldenTest, CityShapeIsPinnedAndIdenticalAcrossShards) {
+  const OccupancyConfig base = city_config();
+  const OccupancyRunResult ref_run = run_occupancy_experiment(base);
+  ASSERT_EQ(ref_run.trace_evicted, 0u);
+  const ShardArtifacts ref = artifacts_of(ref_run);
+  if (print_mode()) {
+    std::printf("    {\"%s\", \"%s\", \"%s\", \"%s\"}\n", kCityGolden.mode,
+                ref.detections.c_str(), ref.metrics_csv.c_str(),
+                ref.trace_jsonl.c_str());
+  } else {
+    EXPECT_EQ(ref.detections, kCityGolden.detections) << "city: detections";
+    EXPECT_EQ(ref.metrics_csv, kCityGolden.metrics_csv) << "city: metrics";
+    EXPECT_EQ(ref.trace_jsonl, kCityGolden.trace_jsonl) << "city: trace";
+  }
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      OccupancyConfig sharded = base;
+      sharded.shards = shards;
+      sharded.shard_threads = threads;
+      const OccupancyRunResult run = run_occupancy_experiment(sharded);
+      const ShardArtifacts got = artifacts_of(run);
+      const std::string where = "city @ " + std::to_string(shards) +
+                                " shards × " + std::to_string(threads) +
+                                " threads";
+      EXPECT_EQ(got.detections, ref.detections) << where << ": detections";
+      EXPECT_EQ(got.metrics_csv, ref.metrics_csv) << where << ": metrics";
+      EXPECT_EQ(got.trace_jsonl, ref.trace_jsonl) << where << ": trace";
+      EXPECT_GT(run.shard_windows, 0u) << where;
     }
   }
 }

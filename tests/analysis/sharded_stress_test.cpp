@@ -1,10 +1,11 @@
 // Window-barrier stress (`ctest -L par`; CI repeats the label under
 // -DPSN_SANITIZE=thread). Two layers:
 //
-//   1. The ShardedSimulation driver alone, fed a cancel-heavy workload —
-//      every shard tick schedules a decoy and cancels it, the duty-cycle
-//      wake re-plan pattern at full rate — across a real 8-thread pool,
-//      with cross-shard traffic through the outbox exchange every window.
+//   1. The ShardedSimulation driver alone, fed an out-of-order workload —
+//      every shard tick schedules two decoys further out before re-arming
+//      itself nearer, so each calendar's monotone run and overflow heap
+//      both churn — across a real 8-thread pool, with cross-shard traffic
+//      through the outbox exchange every window.
 //      TSan's targets: the submit/future window barrier, the one-task-per-
 //      shard scheduler confinement, and the driver-thread-only exchange.
 //
@@ -31,7 +32,7 @@
 namespace psn::analysis {
 namespace {
 
-// --- 1. driver-level cancel storm ------------------------------------------
+// --- 1. driver-level out-of-order churn -------------------------------------
 
 struct StormShard {
   sim::Simulation* sim = nullptr;
@@ -40,6 +41,7 @@ struct StormShard {
   std::size_t remaining = 0;
   std::uint64_t fired = 0;
   std::uint64_t received = 0;
+  std::uint64_t decoys = 0;
 
   void arm() {
     if (remaining == 0) return;
@@ -47,14 +49,13 @@ struct StormShard {
     sim->scheduler().schedule_after(
         Duration::millis(1), sim::Scheduler::Callback([this] {
           ++fired;
-          // The churn: plan a wake, immediately re-plan (cancel) it — twice.
+          // The churn: the far decoy extends the monotone run, the near one
+          // lands before its tail in the heap, and so does the re-arm below.
           sim::Scheduler& sched = sim->scheduler();
-          const sim::EventHandle a = sched.schedule_after(
-              Duration::millis(3), sim::Scheduler::Callback([] {}));
-          const sim::EventHandle b = sched.schedule_after(
-              Duration::millis(7), sim::Scheduler::Callback([] {}));
-          sched.cancel(a);
-          sched.cancel(b);
+          sched.schedule_after(Duration::millis(7),
+                               sim::Scheduler::Callback([this] { ++decoys; }));
+          sched.schedule_after(Duration::millis(3),
+                               sim::Scheduler::Callback([this] { ++decoys; }));
           // Cross-shard send: arrives >= one window (5 ms) ahead, so the
           // conservative-lookahead contract holds.
           outbox->push_back({sched.now() + Duration::millis(5), fired});
@@ -66,16 +67,17 @@ struct StormShard {
 struct StormTotals {
   std::uint64_t fired = 0;
   std::uint64_t received = 0;
+  std::uint64_t decoys = 0;
   std::size_t events = 0;
   std::size_t windows = 0;
 
   bool operator==(const StormTotals& o) const {
-    return fired == o.fired && received == o.received && events == o.events &&
-           windows == o.windows;
+    return fired == o.fired && received == o.received && decoys == o.decoys &&
+           events == o.events && windows == o.windows;
   }
 };
 
-StormTotals run_cancel_storm(std::size_t shards, std::size_t pool_threads,
+StormTotals run_churn(std::size_t shards, std::size_t pool_threads,
                              std::size_t ticks_per_shard) {
   std::vector<std::unique_ptr<sim::Simulation>> sims;
   std::vector<sim::Simulation*> raw;
@@ -118,24 +120,28 @@ StormTotals run_cancel_storm(std::size_t shards, std::size_t pool_threads,
   for (const StormShard& c : chains) {
     totals.fired += c.fired;
     totals.received += c.received;
+    totals.decoys += c.decoys;
   }
   return totals;
 }
 
-TEST(ShardedStressTest, CancelStormAcrossWindowBarrierIsLosslessAndRepeatable) {
+TEST(ShardedStressTest,
+     OutOfOrderChurnAcrossWindowBarrierIsLosslessAndRepeatable) {
   const std::size_t kShards = 8;
   const std::size_t kTicks = 400;
-  const StormTotals par = run_cancel_storm(kShards, 8, kTicks);
-  // Every tick fired, every cross-shard send arrived, nothing double-ran.
+  const StormTotals par = run_churn(kShards, 8, kTicks);
+  // Every tick and decoy fired, every cross-shard send arrived, nothing
+  // double-ran.
   EXPECT_EQ(par.fired, kShards * kTicks);
   EXPECT_EQ(par.received, kShards * kTicks);
+  EXPECT_EQ(par.decoys, 2 * kShards * kTicks);
+  EXPECT_EQ(par.events, 4 * kShards * kTicks);
   EXPECT_GT(par.windows, kTicks / 5);
-  // The pool must not change anything the serial driver would have done —
-  // including the executed-event count (cancelled decoys never execute).
-  const StormTotals serial = run_cancel_storm(kShards, 1, kTicks);
+  // The pool must not change anything the serial driver would have done.
+  const StormTotals serial = run_churn(kShards, 1, kTicks);
   EXPECT_TRUE(par == serial) << "pooled run diverged from inline run";
   // And a second pooled run must reproduce the first exactly.
-  EXPECT_TRUE(run_cancel_storm(kShards, 8, kTicks) == par);
+  EXPECT_TRUE(run_churn(kShards, 8, kTicks) == par);
 }
 
 // --- 2. system-level duty churn at full fan-out -----------------------------

@@ -101,15 +101,14 @@ std::uint64_t scheduler_steady_allocs(std::size_t rounds) {
   // Warmup: reach peak calendar occupancy, then drain — slab blocks, the
   // monotone run vector, and the free list all hit their steady capacity.
   for (int i = 0; i < 512; i++) enqueue(Duration::millis(i % 7));
-  sched.run();
+  sched.run_until(SimTime::max());
   std::uint64_t baseline = fired;
 
   Scope scope;
   for (std::size_t i = 0; i < rounds; i++) {
     enqueue(Duration::millis(1));
     enqueue(Duration::millis(2));
-    sched.step();
-    sched.step();
+    sched.run_until(SimTime::max(), 2);
   }
   EXPECT_EQ(fired, baseline + 2 * rounds);
   return scope.allocations();
@@ -152,7 +151,7 @@ BroadcastAllocs broadcast_allocs(std::size_t n, std::size_t rounds) {
 
   // Warmup: one full fan-out grows the calendar to its peak.
   transport.broadcast(proto);
-  sim.scheduler().run();
+  sim.scheduler().run_until(SimTime::max());
 
   BroadcastAllocs out;
   for (std::size_t r = 0; r < rounds; r++) {
@@ -160,7 +159,7 @@ BroadcastAllocs broadcast_allocs(std::size_t n, std::size_t rounds) {
     transport.broadcast(proto);
     out.schedule += schedule_scope.allocations();
     Scope deliver_scope;
-    sim.scheduler().run();
+    sim.scheduler().run_until(SimTime::max());
     out.deliver += deliver_scope.allocations();
   }
   EXPECT_EQ(delivered, (rounds + 1) * (n - 1));

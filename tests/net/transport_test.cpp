@@ -282,7 +282,7 @@ TEST(FifoTransportTest, FifoClampPreventsOvertaking) {
     m.payload = payload;
     transport.unicast(std::move(m));
   }
-  sim.scheduler().run();
+  sim.scheduler().run_until(SimTime::max());
   ASSERT_EQ(arrived.size(), 50u);
   for (int k = 0; k < 50; ++k) {
     EXPECT_EQ(arrived[static_cast<std::size_t>(k)], std::to_string(k));

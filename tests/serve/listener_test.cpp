@@ -394,13 +394,14 @@ TEST(ListenerTest, IdleStreamIsEvictedThroughTheNormalFinishPath) {
   EXPECT_NE(client.received().find("\"records\":2"), std::string::npos);
 
   // The eviction is recorded: a lifecycle log line plus the per-stream
-  // cause counter in the server-wide snapshot.
+  // cause counter in the server-wide snapshot. Both belong to the listener
+  // thread until it is joined, so they are read only after that.
+  EXPECT_EQ(harness.stop_and_join(), 0);
   EXPECT_NE(harness.log.str().find("\"event\":\"idle_evict\",\"stream\":0"),
             std::string::npos);
   EXPECT_EQ(harness.listener.server_metrics().counters.at(
                 labeled_metric("serve.stream", 0, "idle_evicted")),
             1u);
-  EXPECT_EQ(harness.stop_and_join(), 0);
 
   // A fresh client that completes before the deadline is not evicted.
   Harness harness2(cfg);

@@ -58,6 +58,11 @@ TEST(SimulationTest, RunawaySameInstantRescheduleStopsAtCapAndReports) {
   EXPECT_EQ(fired, 1000u);
   EXPECT_TRUE(sim.truncated());
   EXPECT_EQ(sim.scheduler().pending(), 1u);  // the cut-off reschedule
+  // The run-end record carries the truncation and the cut-off work.
+  const MetricsSnapshot snap = sim.metrics().snapshot();
+  EXPECT_EQ(snap.counters.at("sim.truncated_runs"), 1u);
+  EXPECT_EQ(snap.gauges.at("sim.pending_at_end"), 1.0);
+  EXPECT_EQ(snap.gauges.at("sim.simulated_s"), 1.0);
 }
 
 TEST(SimulationTest, CleanRunToHorizonIsNotTruncated) {
